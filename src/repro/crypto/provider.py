@@ -23,12 +23,8 @@ Selection:
 * :func:`set_provider` switches at runtime; :func:`using_provider` is the
   scoped variant tests use.
 
-The provider also carries the **batch** entry points
-(:meth:`CryptoProvider.seal_many` / :meth:`CryptoProvider.open_many`)
-that the leader's admin fan-out and the GROUP_WRAP demux use so a
-multi-frame flush pays the Python call overhead once, and caches AES key
-schedules per key so re-sealing under a long-lived key never re-expands
-the schedule.
+The provider caches AES key schedules per key, so re-sealing under a
+long-lived key never re-expands the schedule.
 """
 
 from __future__ import annotations
@@ -251,24 +247,9 @@ class CryptoProvider(ABC):
         mac_key: bytes,
         items: Sequence[tuple[bytes, bytes, bytes]],
     ) -> list[tuple[bytes, bytes]]:
-        """Seal a flush of ``(nonce, plaintext, ad)`` frames under one key.
-
-        Semantically identical to calling :meth:`seal` per item; the
-        batch form binds the key schedule and method lookups once so a
-        multi-frame flush (leader fan-out, demux drain) amortizes the
-        per-call overhead.
-        """
-        cipher = self.aes(key=enc_key)
-        from repro.crypto.modes import ctr_transform
-
-        hmac_sha256 = self.hmac_sha256
-        out = []
-        for nonce, plaintext, ad in items:
-            ciphertext = ctr_transform(cipher, nonce, plaintext)
-            header = len(ad).to_bytes(4, "big") + ad
-            out.append((ciphertext,
-                        hmac_sha256(mac_key, header + nonce + ciphertext)))
-        return out
+        """:meth:`seal` over ``(nonce, plaintext, ad)`` frames, in order."""
+        return [self.seal(enc_key, mac_key, nonce, plaintext, ad)
+                for nonce, plaintext, ad in items]
 
     def open_many(
         self,
@@ -276,25 +257,14 @@ class CryptoProvider(ABC):
         mac_key: bytes,
         items: Sequence[tuple[bytes, bytes, bytes, bytes]],
     ) -> list[bytes | None]:
-        """Verify-and-decrypt a flush of ``(nonce, ct, tag, ad)`` frames.
-
-        Per-item results: plaintext on success, ``None`` on MAC failure
-        (no exception — batch callers route failures to their existing
-        per-frame rejection paths, which re-run the single-frame logic).
-        """
-        from repro.util.bytesops import constant_time_eq
-
-        cipher = self.aes(key=enc_key)
-        from repro.crypto.modes import ctr_transform
-
-        hmac_sha256 = self.hmac_sha256
+        """:meth:`open` over ``(nonce, ct, tag, ad)`` frames, in order:
+        the plaintext, or ``None`` where the MAC fails."""
         out: list[bytes | None] = []
         for nonce, ciphertext, tag, ad in items:
-            header = len(ad).to_bytes(4, "big") + ad
-            expected = hmac_sha256(mac_key, header + nonce + ciphertext)
-            if constant_time_eq(expected, tag):
-                out.append(ctr_transform(cipher, nonce, ciphertext))
-            else:
+            try:
+                out.append(self.open(enc_key, mac_key, nonce, ciphertext,
+                                     tag, ad))
+            except IntegrityError:
                 out.append(None)
         return out
 
@@ -486,59 +456,6 @@ class FastProvider(CryptoProvider):
         ).decryptor()
         padded = decryptor.update(ciphertext) + decryptor.finalize()
         return pkcs7_unpad(padded, 16)
-
-    # -- sealed boxes ----------------------------------------------------
-
-    def seal_many(
-        self,
-        enc_key: bytes,
-        mac_key: bytes,
-        items: Sequence[tuple[bytes, bytes, bytes]],
-    ) -> list[tuple[bytes, bytes]]:
-        if self._cipher_cls is None:
-            return super().seal_many(enc_key, mac_key, items)
-        cipher_cls = self._cipher_cls
-        aes_alg = self._algorithms.AES(enc_key)
-        ctr_mode = self._modes.CTR
-        hmac_new = self._hmac_mod.new
-        sha256 = self._hashlib.sha256
-        out = []
-        for nonce, plaintext, ad in items:
-            encryptor = cipher_cls(aes_alg, ctr_mode(nonce + bytes(8))).encryptor()
-            ciphertext = encryptor.update(plaintext) + encryptor.finalize()
-            mac = hmac_new(mac_key, len(ad).to_bytes(4, "big") + ad, sha256)
-            mac.update(nonce)
-            mac.update(ciphertext)
-            out.append((ciphertext, mac.digest()))
-        return out
-
-    def open_many(
-        self,
-        enc_key: bytes,
-        mac_key: bytes,
-        items: Sequence[tuple[bytes, bytes, bytes, bytes]],
-    ) -> list[bytes | None]:
-        if self._cipher_cls is None:
-            return super().open_many(enc_key, mac_key, items)
-        cipher_cls = self._cipher_cls
-        aes_alg = self._algorithms.AES(enc_key)
-        ctr_mode = self._modes.CTR
-        hmac_new = self._hmac_mod.new
-        sha256 = self._hashlib.sha256
-        compare_digest = self._hmac_mod.compare_digest
-        out: list[bytes | None] = []
-        for nonce, ciphertext, tag, ad in items:
-            mac = hmac_new(mac_key, len(ad).to_bytes(4, "big") + ad, sha256)
-            mac.update(nonce)
-            mac.update(ciphertext)
-            if compare_digest(mac.digest(), tag):
-                decryptor = cipher_cls(
-                    aes_alg, ctr_mode(nonce + bytes(8))
-                ).decryptor()
-                out.append(decryptor.update(ciphertext) + decryptor.finalize())
-            else:
-                out.append(None)
-        return out
 
 
 # -- registry ------------------------------------------------------------

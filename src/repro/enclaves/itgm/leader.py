@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.crypto.aead import AuthenticatedCipher, SealedBox, seal_many
+from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import KEY_LEN, GroupKey
 from repro.crypto.rng import RandomSource, SystemRandom
 from repro.enclaves.common import (
@@ -208,77 +208,11 @@ class GroupLeader:
     def handle_many(
         self, envelopes: list[Envelope]
     ) -> tuple[list[Envelope], list[Event]]:
-        """Process a flush of envelopes, batch-verifying APP_DATA runs.
-
-        Equivalent to calling :meth:`handle` in order, with one fast
-        path: consecutive APP_DATA relays are MAC-checked in a single
-        :meth:`~repro.crypto.aead.AuthenticatedCipher.open_many` batch
-        under the group cipher.  Frames whose batch check fails (or that
-        are not plain relays) fall back to the unchanged single-frame
-        logic, so every rejection reason, stat, and telemetry event is
-        produced by exactly the code that always produced it.  With a
-        profiler bound the batch is skipped entirely — per-frame phase
-        attribution stays intact.
-        """
+        """:meth:`handle` over a list of envelopes, in order."""
         out: list[Envelope] = []
         events: list[Event] = []
-        i, n = 0, len(envelopes)
-        while i < n:
-            run: list[Envelope] = []
-            if self._profiler is None and self._group_cipher is not None:
-                while (
-                    i + len(run) < n
-                    and envelopes[i + len(run)].label is Label.APP_DATA
-                    and envelopes[i + len(run)].recipient == self.leader_id
-                ):
-                    run.append(envelopes[i + len(run)])
-            if len(run) >= 2:
-                o, e = self._relay_app_batch(run)
-                i += len(run)
-            else:
-                o, e = self.handle(envelopes[i])
-                i += 1
-            out.extend(o)
-            events.extend(e)
-        return out, events
-
-    def _relay_app_batch(
-        self, run: list[Envelope]
-    ) -> tuple[list[Envelope], list[Event]]:
-        """Batch-open a run of APP_DATA frames, then dispatch each.
-
-        Only verified-under-the-current-key plaintexts short-circuit;
-        anything else (non-member sender, malformed box, MAC failure —
-        including the rekey-grace case) re-enters :meth:`_relay_app`
-        with no pre-opened plaintext and takes the normal path.
-        """
-        cipher = self._group_cipher
-        items: list[tuple[SealedBox, bytes]] = []
-        positions: list[int] = []
-        for index, envelope in enumerate(run):
-            session = self._sessions.get(envelope.sender)
-            if session is None or not session.is_member:
-                continue
-            try:
-                box = SealedBox.from_bytes(envelope.body)
-            except CodecError:
-                continue
-            items.append((box, app_ad(envelope.sender)))
-            positions.append(index)
-        opened: list[bytes | None] = [None] * len(run)
-        if items:
-            for index, plain in zip(positions, cipher.open_many(items)):
-                opened[index] = plain
-        out: list[Envelope] = []
-        events: list[Event] = []
-        for envelope, plain in zip(run, opened):
-            if self._telemetry:
-                self._cause = frame_id(envelope)
-            o, e = self._relay_app(envelope, _opened=plain)
-            self._checkpoint()
-            if self._telemetry:
-                self._publish(envelope, e)
-                self._cause = ""
+        for envelope in envelopes:
+            o, e = self.handle(envelope)
             out.extend(o)
             events.extend(e)
         return out, events
@@ -541,45 +475,32 @@ class GroupLeader:
         """Send the next queued payload on every idle admin channel.
 
         A rekey or membership broadcast queues one payload per member;
-        flushing them here is the leader's multicast fan-out, so when
-        more than one channel is ready the seals go through one
-        :func:`repro.crypto.aead.seal_many` batch (one provider dispatch
-        for the whole flush) instead of one :meth:`seal` per member.
-        Draw order stays deterministic (prepare in session order, then
-        nonces in the same order), so seeded runs replay byte-for-byte.
+        flushing them here is the leader's multicast fan-out.  Every
+        ready channel is prepared (its chain nonce drawn) before any is
+        sealed (its CTR nonce drawn): the sessions share the leader's
+        rng, so this draw order is part of every seeded wire log.
         """
         prof = self._profiler
         tok = prof.begin("multicast") if prof else None
-        ready: list[LeaderSession] = []
-        for user_id, session in self._sessions.items():
-            outbox = self._outboxes[user_id]
-            if outbox and session.can_send_admin:
-                ready.append(session)
-        if len(ready) <= 1:
-            out = [
-                session.send_admin(self._outboxes[session.user_id].popleft())
-                for session in ready
-            ]
-        else:
-            requests = [
-                session.prepare_admin(
-                    self._outboxes[session.user_id].popleft()
-                )
-                for session in ready
-            ]
-            out = [
-                session.finish_admin(box)
-                for session, box in zip(ready, seal_many(requests))
-            ]
+        ready = [
+            session for user_id, session in self._sessions.items()
+            if self._outboxes[user_id] and session.can_send_admin
+        ]
+        requests = [
+            session.prepare_admin(self._outboxes[session.user_id].popleft())
+            for session in ready
+        ]
+        out = [
+            session.finish_admin(request.seal())
+            for session, request in zip(ready, requests)
+        ]
         if prof:
             prof.end(tok)
         return out
 
     # -- application relay (Figure 1) --------------------------------------------
 
-    def _relay_app(
-        self, envelope: Envelope, _opened: bytes | None = None
-    ) -> tuple[list[Envelope], list[Event]]:
+    def _relay_app(self, envelope: Envelope) -> tuple[list[Envelope], list[Event]]:
         sender = envelope.sender
         session = self._sessions.get(sender)
         if session is None or not session.is_member:
@@ -594,28 +515,19 @@ class GroupLeader:
         # with rekey grace, frames exactly one epoch old, which the
         # leader re-seals under the current key so every recipient can
         # read them (the leader is trusted, so re-sealing is sound).
-        # ``_opened`` short-circuits the verify when handle_many already
-        # batch-checked this frame under the current key.
         body = envelope.body
         prof = self._profiler
         tok = prof.begin("open") if prof else None
         try:
-            if _opened is not None:
-                plain = _opened
-            else:
-                box = SealedBox.from_bytes(body)
-                try:
-                    plain = self._group_cipher.open(box, app_ad(sender))
-                except IntegrityError:
-                    if self._previous_group_cipher is None:
-                        raise
-                    plain = self._previous_group_cipher.open(
-                        box, app_ad(sender)
-                    )
-                    body = self._group_cipher.seal(
-                        plain, app_ad(sender)
-                    ).to_bytes()
-                    self.stats.grace_resealed += 1
+            box = SealedBox.from_bytes(body)
+            try:
+                plain = self._group_cipher.open(box, app_ad(sender))
+            except IntegrityError:
+                if self._previous_group_cipher is None:
+                    raise
+                plain = self._previous_group_cipher.open(box, app_ad(sender))
+                body = self._group_cipher.seal(plain, app_ad(sender)).to_bytes()
+                self.stats.grace_resealed += 1
             decode_fields(plain, expect=2)
         except (CodecError, IntegrityError):
             if prof:

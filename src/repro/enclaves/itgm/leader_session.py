@@ -97,10 +97,7 @@ class LeaderSession:
         Only legal in Connected (the channel is stop-and-wait: one
         outstanding admin message per member).
         """
-        request = self.prepare_admin(payload)
-        return self.finish_admin(
-            request.cipher.seal(request.plaintext, request.associated_data)
-        )
+        return self.finish_admin(self.prepare_admin(payload).seal())
 
     def prepare_admin(self, payload: AdminPayload) -> SealRequest:
         """Phase 1 of an admin send: everything except the seal.
@@ -108,9 +105,8 @@ class LeaderSession:
         Advances the nonce chain and the channel state exactly as
         :meth:`send_admin` would, and returns the
         :class:`~repro.crypto.aead.SealRequest` for the frame body.  The
-        leader's fan-out collects one request per member and seals them
-        in a single :func:`repro.crypto.aead.seal_many` batch; the
-        sealed box must then come back through :meth:`finish_admin`
+        leader's fan-out prepares every ready member before sealing any;
+        each sealed box must then come back through :meth:`finish_admin`
         (before any other frame is processed) to arm retransmission.
         """
         if self.state is not LeaderState.CONNECTED:

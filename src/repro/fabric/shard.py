@@ -294,93 +294,30 @@ class ShardHost:
     def handle_many(
         self, envelopes: list[Envelope]
     ) -> tuple[list[Envelope], list[Event]]:
-        """Route a batch of wrapped frames, coalescing same-group runs.
-
-        Consecutive frames that route to the *same* hosted leader are
-        handed to :meth:`~repro.enclaves.itgm.leader.GroupLeader.handle_many`
-        in one call so its batch ``open_many`` path can amortise the
-        per-frame crypto.  Everything else (rejects, redirects, group
-        switches) flushes the run and takes the per-frame path, so
-        outputs and events come back in exactly the order sequential
-        :meth:`handle` calls would produce them.  With a profiler bound
-        the batch path is skipped entirely: per-frame phase attribution
-        is part of the observability contract.
-        """
-        if self._profiler is not None:
-            out: list[Envelope] = []
-            events: list[Event] = []
-            for envelope in envelopes:
-                frames, evts = self.handle(envelope)
-                out.extend(frames)
-                events.extend(evts)
-            return out, events
-
-        out = []
-        events = []
-        run_leader: GroupLeader | None = None
-        run_inner: list[Envelope] = []
-
-        def flush() -> None:
-            nonlocal run_leader, run_inner
-            if run_leader is None:
-                return
-            if len(run_inner) >= 2:
-                frames, evts = run_leader.handle_many(run_inner)
-            else:
-                frames, evts = run_leader.handle(run_inner[0])
+        """:meth:`handle` over a list of wrapped frames, in order."""
+        out: list[Envelope] = []
+        events: list[Event] = []
+        for envelope in envelopes:
+            frames, evts = self.handle(envelope)
             out.extend(frames)
             events.extend(evts)
-            run_leader, run_inner = None, []
-
-        for envelope in envelopes:
-            self.stats.frames_in += 1
-            delivery, frames, evts = self._route(envelope)
-            if delivery is None:
-                flush()
-                out.extend(frames)
-                events.extend(evts)
-                continue
-            leader, inner = delivery
-            if leader is not run_leader:
-                flush()
-                run_leader = leader
-                run_inner = [inner]
-            else:
-                run_inner.append(inner)
-        flush()
         return out, events
 
     def _demux(self, envelope: Envelope) -> tuple[list[Envelope], list[Event]]:
-        delivery, out, events = self._route(envelope)
-        if delivery is None:
-            return out, events
-        leader, inner = delivery
-        return leader.handle(inner)
-
-    def _route(
-        self, envelope: Envelope
-    ) -> tuple[
-        tuple[GroupLeader, Envelope] | None, list[Envelope], list[Event]
-    ]:
-        """Classify one wrapped frame without delivering it.
-
-        Returns ``((leader, inner), [], [])`` for a deliverable frame
-        (demux stats and telemetry already emitted), or
-        ``(None, out, events)`` when the demux layer answered it
-        (malformed, foreign, or redirected).
-        """
+        """Unwrap one frame and hand it to its hosted leader, or answer
+        it here (malformed, foreign, or redirected)."""
         if envelope.label is not Label.GROUP_WRAP:
             self.stats.malformed += 1
             reason = "shard endpoint accepts only GROUP_WRAP frames"
             self._reject_frame(envelope, reason)
-            return None, [], [Rejected(reason, envelope.label)]
+            return [], [Rejected(reason, envelope.label)]
         try:
             group_id, inner = unwrap_group(envelope)
         except CodecError as exc:
             self.stats.malformed += 1
             reason = f"malformed group wrapper: {exc}"
             self._reject_frame(envelope, reason)
-            return None, [], [Rejected(reason, envelope.label)]
+            return [], [Rejected(reason, envelope.label)]
 
         entry = self._hosted.get(group_id)
         if entry is None or entry.quiesced:
@@ -396,13 +333,9 @@ class ShardHost:
                         self.shard_id, group_id, inner.sender,
                         target or "", frame_id(envelope),
                     ))
-                return (
-                    None,
-                    [redirect_envelope(
-                        self.shard_id, inner.sender, group_id, target
-                    )],
-                    [],
-                )
+                return [redirect_envelope(
+                    self.shard_id, inner.sender, group_id, target
+                )], []
             # Never ours: foreign (or fabricated) group id.
             self.stats.foreign_rejected += 1
             reason = f"group {group_id!r} is not hosted here"
@@ -410,7 +343,7 @@ class ShardHost:
                 self._telemetry.emit(ForeignGroupRejected(
                     self.shard_id, group_id, frame_id(envelope), reason
                 ))
-            return None, [], [Rejected(reason, envelope.label)]
+            return [], [Rejected(reason, envelope.label)]
 
         self.stats.delivered += 1
         if self._telemetry:
@@ -420,7 +353,7 @@ class ShardHost:
                 self.shard_id, group_id, inner.sender,
                 frame_id(envelope), frame_id(inner),
             ))
-        return (entry.leader, inner), [], []
+        return entry.leader.handle(inner)
 
     # -- bounded intake (overload protection) --------------------------------
 
@@ -453,16 +386,7 @@ class ShardHost:
             raise StateError(
                 f"shard {self.shard_id!r} has no bounded intake"
             )
-        drained = self._mailbox.drain(budget)
-        if self._profiler is None and len(drained) >= 2:
-            return self.handle_many(drained)
-        out: list[Envelope] = []
-        events: list[Event] = []
-        for envelope in drained:
-            frames, evts = self.handle(envelope)
-            out.extend(frames)
-            events.extend(evts)
-        return out, events
+        return self.handle_many(self._mailbox.drain(budget))
 
     def _reject_frame(self, envelope: Envelope, reason: str) -> None:
         if self._telemetry:
