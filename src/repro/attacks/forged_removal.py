@@ -15,8 +15,13 @@ mallory does not hold.
 
 from __future__ import annotations
 
-from repro.attacks.base import Attack, AttackResult, build_itgm, build_legacy
-from repro.crypto.aead import AuthenticatedCipher
+from repro.attacks.base import (
+    Attack,
+    AttackResult,
+    build_itgm,
+    build_legacy,
+    forger_cipher,
+)
 from repro.enclaves.itgm.admin import MemberLeftPayload
 from repro.enclaves.itgm.member import seal_ad
 from repro.wire.codec import encode_fields, encode_str
@@ -45,7 +50,7 @@ class ForgedRemovalAttack(Attack):
         # endpoint and forges the leader's removal notice.
         group_key = mallory.current_group_key
         assert group_key is not None
-        cipher = AuthenticatedCipher(group_key)
+        cipher = forger_cipher(group_key, self.seed)
         body = cipher.seal(
             encode_fields([encode_str("mallory")]),
             seal_ad(Label.MEM_REMOVED, "leader", "bob"),
@@ -74,7 +79,7 @@ class ForgedRemovalAttack(Attack):
         # group key and hope bob's admin channel accepts it.
         group_key = mallory._group_key
         assert group_key is not None
-        cipher = AuthenticatedCipher(group_key)
+        cipher = forger_cipher(group_key, self.seed)
         fake = MemberLeftPayload("mallory").encode()
         body = cipher.seal(
             encode_fields(

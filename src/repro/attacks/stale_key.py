@@ -11,8 +11,13 @@ attacker after she leaves, and the attacker tries to use it against her
 
 from __future__ import annotations
 
-from repro.attacks.base import Attack, AttackResult, build_itgm, build_legacy
-from repro.crypto.aead import AuthenticatedCipher
+from repro.attacks.base import (
+    Attack,
+    AttackResult,
+    build_itgm,
+    build_legacy,
+    forger_cipher,
+)
 from repro.enclaves.itgm.admin import MemberLeftPayload
 from repro.enclaves.itgm.member import seal_ad
 from repro.wire.codec import encode_fields, encode_str
@@ -48,7 +53,7 @@ class StaleSessionKeyAttack(Attack):
 
         # Inject a NEW_KEY under the old session key.
         from repro.crypto.keys import GroupKey
-        cipher = AuthenticatedCipher(old_key)
+        cipher = forger_cipher(old_key, self.seed)
         evil_group_key = GroupKey(b"\x13" * 32)
         body = cipher.seal(
             encode_fields([evil_group_key.material]),
@@ -79,7 +84,7 @@ class StaleSessionKeyAttack(Attack):
         assert "alice" in leader.members
 
         # Forge an AdminMsg and a ReqClose under the leaked old key.
-        cipher = AuthenticatedCipher(old_key)
+        cipher = forger_cipher(old_key, self.seed)
         admin_body = cipher.seal(
             encode_fields(
                 [encode_str("leader"), encode_str("alice"),
