@@ -79,6 +79,7 @@ class DataMember:
         if envelope.label.is_data:
             return self._handle_data(envelope), []
         out, events = self.member.handle(envelope)
+        self.receiver.forget_departed(self.member.membership)
         out.extend(self._sync_epoch())
         return out, events
 
